@@ -19,8 +19,9 @@ every configuration; only the *charged time* differs between variants.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Tuple
 
 from repro import units
 from repro.core.journal import JournalRecord, RecordState
@@ -98,7 +99,9 @@ class RaidpDataNode(DataNode):
         self.map = superchunk_map
         self.raidp = raidp
         self.switch = switch
-        self.namenode: Optional["NameNode"] = None
+        # Held weakly: the NameNode holds every datanode, so a strong
+        # back-reference would leave a finished cluster to the cyclic GC.
+        self._namenode: Optional["weakref.ref[NameNode]"] = None
         self.lstors = LstorStack(
             sim,
             factory,
@@ -117,7 +120,24 @@ class RaidpDataNode(DataNode):
         self._awaiting_ack: Dict[Tuple[str, int], JournalRecord] = {}
 
     def attach_namenode(self, namenode: "NameNode") -> None:
-        self.namenode = namenode
+        self._namenode = weakref.ref(namenode)
+
+    @property
+    def namenode(self) -> Optional["NameNode"]:
+        ref = self._namenode
+        return None if ref is None else ref()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Weak references do not pickle; a snapshot carries the NameNode
+        # itself (the facade pickles it anyway) and restores the weak link.
+        state = self.__dict__.copy()
+        state["_namenode"] = self.namenode
+        return state
+
+    def __setstate__(self, state: Any) -> None:
+        namenode = state["_namenode"]
+        state["_namenode"] = None if namenode is None else weakref.ref(namenode)
+        super().__setstate__(state)
 
     # ------------------------------------------------------------------
     # Superchunk geometry.
@@ -525,13 +545,18 @@ class RaidpDataNode(DataNode):
         self._clear_record(key)
         return True
 
-    def _partner_of(self, locations: BlockLocations) -> Optional["RaidpDataNode"]:
-        if self.namenode is None:
+    def _attached_namenode(self) -> "NameNode":
+        namenode = self.namenode
+        if namenode is None:
             raise DfsError(f"{self.name} has no namenode attached")
+        return namenode
+
+    def _partner_of(self, locations: BlockLocations) -> Optional["RaidpDataNode"]:
+        namenode = self._attached_namenode()
         others = [n for n in locations.datanodes if n != self.name]
         if not others:
             return None
-        partner = self.namenode.datanode(others[0])
+        partner = namenode.datanode(others[0])
         assert isinstance(partner, RaidpDataNode)
         return partner
 
@@ -667,9 +692,7 @@ class RaidpDataNode(DataNode):
         return len(records)
 
     def _locations_of_record(self, record: JournalRecord) -> Optional[BlockLocations]:
-        if self.namenode is None:
-            raise DfsError(f"{self.name} has no namenode attached")
-        for locations in self.namenode.all_blocks():
+        for locations in self._attached_namenode().all_blocks():
             if locations.block.name == record.block_name:
                 return locations
         return None  # block deleted since the record was written

@@ -246,8 +246,8 @@ class _Sleep(Event):
 class Process(Event):
     """A running generator.  As an Event it fires when the body returns."""
 
-    __slots__ = ("body", "name", "_waiting_on", "_had_waiters", "_trace_t0",
-                 "_send", "_bthrow", "_rcb")
+    __slots__ = ("body", "name", "_had_waiters", "_trace_t0", "_send",
+                 "_bthrow", "_rcb")
 
     #: Waiters must go through add_callback so _had_waiters is recorded.
     _inline_wait = False
@@ -263,13 +263,13 @@ class Process(Event):
         self._scheduled = False
         self.body = body
         self.name = name or getattr(body, "__name__", "process")
-        self._waiting_on: Optional[Event] = None
         self._had_waiters = False
         # Prebound body resumption and wake callback: every resume saves
         # a method-wrapper allocation and an attribute chain.
         self._send = body.send
         self._bthrow = body.throw
-        self._rcb: Callable[[Event], None] = self._resume
+        # A self-cycle while the body runs; the finish paths clear it.
+        self._rcb: Optional[Callable[[Event], None]] = self._resume
         if sim.trace.enabled:
             self._trace_t0 = sim.now
         # Kick off the body on the next step; inlined _schedule_callback
@@ -306,20 +306,36 @@ class Process(Event):
         self.sim._schedule_callback(lambda: self._throw(ProcessInterrupt(reason)))
 
     def _throw(self, exc: BaseException) -> None:
+        """Raise ``exc`` inside the body at its wait point.
+
+        Raising it there prepends the body's frame to the traceback.  A
+        failure delivered from another process gets the traceback it
+        was raised with back afterwards, whatever the body did with it:
+        a body that keeps the exception (``last_error = err``) would
+        otherwise hold its own frame through it, and a body that holds
+        the failed process would be held by that process -- a cycle
+        either way.  An exception that was never raised (an interrupt)
+        keeps the frame it lands in.
+        """
         if self.triggered:
             return
-        self._waiting_on = None
+        tb = exc.__traceback__
         try:
             target = self._bthrow(exc)
         except StopIteration as stop:
+            exc.__traceback__ = tb
             self._finish_ok(stop.value)
         except BaseException as err:  # noqa: BLE001 - propagate into the event
+            raised_here = err.__traceback__.tb_next  # drop this engine frame
+            exc.__traceback__ = tb
+            if err is not exc or tb is None:
+                err.__traceback__ = raised_here
             self._finish_fail(err)
         else:
+            exc.__traceback__ = tb
             # Inlined _wait_for fast path (see _resume).
             try:
                 if target._callbacks is None and target._inline_wait:
-                    self._waiting_on = target
                     target._callbacks = self._rcb
                     return
             except AttributeError:
@@ -335,11 +351,11 @@ class Process(Event):
         except StopIteration as stop:
             self._finish_ok(stop.value)
         except BaseException as err:  # noqa: BLE001 - propagate into the event
+            err.__traceback__ = err.__traceback__.tb_next  # drop this engine frame
             self._finish_fail(err)
         else:
             try:
                 if target._callbacks is None and target._inline_wait:
-                    self._waiting_on = target
                     target._callbacks = self._rcb
                     return
             except AttributeError:
@@ -349,14 +365,15 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         if self.triggered:
             return
+        if event._exception is not None:
+            self._throw(event._exception)
+            return
         try:
-            if event._exception is not None:
-                target = self._bthrow(event._exception)
-            else:
-                target = self._send(event._value)
+            target = self._send(event._value)
         except StopIteration as stop:
             self._finish_ok(stop.value)
         except BaseException as err:  # noqa: BLE001 - propagate into the event
+            err.__traceback__ = err.__traceback__.tb_next  # drop this engine frame
             self._finish_fail(err)
         else:
             # Inlined _wait_for fast path: the overwhelmingly common
@@ -366,7 +383,6 @@ class Process(Event):
             # non-events lack the slots entirely (AttributeError).
             try:
                 if target._callbacks is None and target._inline_wait:
-                    self._waiting_on = target
                     target._callbacks = self._rcb
                     return
             except AttributeError:
@@ -379,10 +395,12 @@ class Process(Event):
                 SimulationError(f"process {self.name!r} yielded non-event {target!r}")
             )
             return
-        self._waiting_on = target
-        target.add_callback(self._rcb)
+        rcb = self._rcb
+        assert rcb is not None  # cleared only once the body has finished
+        target.add_callback(rcb)
 
     def _finish_ok(self, value: Any) -> None:
+        self._rcb = None  # break the self-cycle (see __init__)
         sim = self.sim
         sim._live_processes -= 1
         trace = sim.trace
@@ -394,6 +412,9 @@ class Process(Event):
         self.succeed(value)
 
     def _finish_fail(self, exc: BaseException) -> None:
+        """Fail the process with ``exc``, whose traceback must start in
+        the body: an engine frame there would hold this process."""
+        self._rcb = None  # break the self-cycle (see __init__)
         sim = self.sim
         sim._live_processes -= 1
         trace = sim.trace
@@ -534,7 +555,8 @@ class Simulator:
         self._failed: List[Tuple[Process, BaseException]] = []
         # Recycled _Deferred entries (see _schedule_callback).
         self._deferred_pool: List[_Deferred] = []
-        # Recycled _Sleep events (see sleep()).
+        # Recycled _Sleep events (see sleep()); refilled only while
+        # run() drains, and emptied when it returns.
         self._sleep_pool: List[_Sleep] = []
         # One-shot hooks run when the cascade at the current instant has
         # drained, before simulated time advances (see add_flush_hook).
@@ -767,14 +789,13 @@ class Simulator:
 
         Flush hooks are a :meth:`run`-loop notion; ``step`` dispatches
         scheduled entries only and leaves boundary hooks to the caller.
+        Sleeps are recycled only inside :meth:`run`, which empties the
+        pool on return.
         """
         _when, event = self._next_entry()
         event._dispatch()
-        cls = type(event)
-        if cls is _Deferred:
+        if type(event) is _Deferred:
             self._deferred_pool.append(event)
-        elif cls is _Sleep:
-            self._sleep_pool.append(event)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the schedule drains or simulated time reaches ``until``.
@@ -787,12 +808,17 @@ class Simulator:
 
         profile = self._profile
         sampler = self._sampler
-        if sampler is not None and sampler.enabled:
-            self._drain_sampled(until, sampler)
-        elif profile is not None and profile.enabled:
-            self._drain_profiled(until, profile)
-        else:
-            self._drain(until)
+        try:
+            if sampler is not None and sampler.enabled:
+                self._drain_sampled(until, sampler)
+            elif profile is not None and profile.enabled:
+                self._drain_profiled(until, profile)
+            else:
+                self._drain(until)
+        finally:
+            # Pooled sleeps point back at this simulator; holding none
+            # between runs lets a finished simulator free by refcount.
+            self._sleep_pool.clear()
         self._raise_orphan_failures()
         if (
             until is None

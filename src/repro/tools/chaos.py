@@ -31,6 +31,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import resource
 import sys
 import zlib
 from typing import Any, Dict, Generator, List, Optional, Tuple
@@ -74,7 +75,9 @@ class ChaosResult:
 
     ``health`` (present only on flight-recorder runs) rides *outside*
     the fingerprint: sampled and unsampled runs must stay bit-identical
-    on ``fingerprint``, which the determinism tests compare.
+    on ``fingerprint``, which the determinism tests compare.  So does
+    ``peak_rss_mb``, the host's high-water RSS after each soak of a
+    :func:`run_repeated` call.
     """
 
     seed: int
@@ -82,6 +85,7 @@ class ChaosResult:
     problems: List[str]
     fingerprint: Dict
     health: Optional[Dict] = None
+    peak_rss_mb: List[float] = dataclasses.field(default_factory=list)
 
     def summary(self) -> str:
         fp = self.fingerprint
@@ -606,12 +610,28 @@ def run_chaos(
     )
 
 
+def high_water_rss_mb() -> float:
+    """This process's high-water RSS in MB: ``VmHWM`` where procfs has
+    it, else ``ru_maxrss`` (KiB on Linux, bytes on macOS)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as handle:
+            for line in handle:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return maxrss / (1024.0 * 1024.0 if sys.platform == "darwin" else 1024.0)
+
+
 def run_repeated(seed: int = DEFAULT_SEED, runs: int = 2, **kwargs: Any) -> ChaosResult:
     """Run the soak ``runs`` times with the same seed; the fingerprints
     must be bit-identical or the combined result fails."""
     first = run_chaos(seed, **kwargs)
+    first.peak_rss_mb.append(high_water_rss_mb())
     for index in range(1, runs):
         again = run_chaos(seed, **kwargs)
+        first.peak_rss_mb.append(high_water_rss_mb())
         first.problems.extend(again.problems)
         if again.fingerprint != first.fingerprint:
             diff_keys = [
@@ -714,6 +734,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if result.health is not None and options.dash:
         print(render_dash(result.health))
     print(result.summary())
+    print("high-water RSS after each soak: " + ", ".join(
+        f"{mb:.1f}" for mb in result.peak_rss_mb
+    ) + " MB")
     if options.timeline:
         print(result.render_timeline())
     for problem in result.problems:

@@ -66,3 +66,16 @@ def test_chaos_cli_rejects_unknown_args():
 def test_default_seed_is_stable():
     # The documented default: anyone running `make chaos` gets this plan.
     assert DEFAULT_SEED == 0xC4A05
+
+
+def test_chaos_cli_prints_high_water_rss_per_soak(capsys):
+    from repro.tools.chaos import main
+
+    assert main(["--seed", str(DEFAULT_SEED), "--runs", "2"]) == 0
+    out = capsys.readouterr().out
+    line = next(
+        text for text in out.splitlines() if text.startswith("high-water RSS")
+    )
+    values = line.split(":", 1)[1].removesuffix(" MB").split(",")
+    assert len(values) == 2
+    assert all(float(value) > 0.0 for value in values)

@@ -21,7 +21,12 @@ from repro.core.recovery import (
     simulate_raid6_writeback_phase,
 )
 from repro.errors import SimulationError
-from repro.experiments.common import Scale, build_raidp, build_raidp_warm
+from repro.experiments.common import (
+    Scale,
+    build_raidp,
+    build_raidp_warm,
+    build_raidp_written,
+)
 from repro.sim import snapshot
 from repro.sim.engine import Simulator
 
@@ -208,6 +213,37 @@ def test_core_classes_restore_through_inline_state():
     cfg = pickle.loads(pickle.dumps(DfsConfig(replication=2)))
     assert cfg.replication == 2  # frozen dataclass survives object.__setattr__
     del Sim  # silence linters: imported to prove no InlineState (slots path)
+
+
+def test_restored_datanodes_resolve_namenode_and_partner():
+    """Datanodes hold their NameNode weakly (the NameNode holds them), so
+    a restore must relink each one to the *restored* NameNode -- on both
+    the partner path (acks, journal replay) and the record-lookup path."""
+    from repro.core.journal import JournalRecord
+
+    scale = Scale()
+    build_raidp_written(scale, seed=1)  # cold build + ingest + capture
+    dfs = build_raidp_written(scale, seed=1)  # pure restore
+    namenode = dfs.namenode
+    assert all(dn.namenode is namenode for dn in dfs.datanodes)
+    locations = next(
+        loc for loc in namenode.all_blocks() if len(loc.datanodes) == 2
+    )
+    home, mirror = (namenode.datanode(name) for name in locations.datanodes)
+    assert home._partner_of(locations) is mirror
+    assert mirror._partner_of(locations) is home
+    record = JournalRecord(
+        record_id=0,
+        block_name=locations.block.name,
+        sc_id=0,
+        slot=0,
+        old_data=None,
+        new_data=None,
+        parity_delta=None,
+        nbytes=0,
+        version=locations.version,
+    )
+    assert home._locations_of_record(record) is locations
 
 
 # ----------------------------------------------------------------------
