@@ -16,12 +16,26 @@ is banked lazily: only flows inside the re-solved component are credited
 with bytes moved at their old rate; an undisturbed flow's progress is a
 single ``rate * elapsed`` evaluated when something finally touches it.
 
+Recovery traffic is overwhelmingly *star*-shaped: many sources
+converging on one rebuilding node (or one source fanning out), so the
+component is one hub port whose every flow leaves through a spoke port
+carrying that flow alone.  A star is re-solved in one fused pass: bank
+every flow, retire the finished ones, and give each survivor the hub's
+fair share ``capacity / k`` directly, pushing its deadline inline.  The
+pass applies only when every spoke offers strictly more than that share
+(the same strict dominance the generic solve's one-round path tests);
+otherwise the survivors go through progressive filling.  Either way the
+rates, deadlines and push order are the ones the generic path computes.
+
 Completion is driven by a lazy-invalidation heap of per-flow deadlines:
 every rate change pushes a fresh ``(deadline, seq, flow)`` entry and the
 one armed engine timer always targets the heap top; entries whose flow
 finished or was since re-rated are skipped on pop.  This keeps the event
 count proportional to the number of flow arrivals/departures rather than
-to bytes transferred or to the square of the flow count.
+to bytes transferred or to the square of the flow count.  A flow is its
+own completion :class:`~repro.sim.engine.Event` (what :meth:`Switch.transfer`
+returns), and the flows that finish in one wave share one base-latency
+sleep with one callback that triggers them in retire order.
 
 The pre-existing rebuild-the-world allocator is retained as the
 *reference* solver (``Switch(sim, solver="reference")`` or
@@ -38,7 +52,8 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro import units
 from repro.errors import SimulationError
@@ -51,6 +66,13 @@ from repro.sim.snapshot import InlineState
 SOLVER_ENV_VAR = "RAIDP_NET_SOLVER"
 
 _INF = float("inf")
+
+#: A star flow's spoke is its far end: the sender's tx port when the hub
+#: is a receive port, the receiver's rx port when the hub transmits.
+_SRC_FLOWS = attrgetter("src_port.flows")
+_DST_FLOWS = attrgetter("dst_port.flows")
+_SRC_TX = attrgetter("src.tx_rate")
+_DST_RX = attrgetter("dst.rx_rate")
 
 
 @dataclass
@@ -100,8 +122,12 @@ class _Port:
         return self.nic.tx_rate if self.is_tx else self.nic.rx_rate
 
 
-class _Flow:
-    """An in-flight transfer between two NICs."""
+class _Flow(Event):
+    """An in-flight transfer between two NICs, and its completion event.
+
+    The event triggers (with the transfer duration) once the last byte
+    has arrived, base latency included.
+    """
 
     __slots__ = (
         "src",
@@ -109,7 +135,6 @@ class _Flow:
         "remaining",
         "total",
         "rate",
-        "done",
         "started_at",
         "last_update",
         "src_port",
@@ -122,21 +147,28 @@ class _Flow:
 
     def __init__(
         self,
+        sim: Simulator,
         src: Nic,
         dst: Nic,
         nbytes: int,
-        done: Event,
         now: float,
         src_port: _Port,
         dst_port: _Port,
         seq: int,
     ) -> None:
+        # Flattened Event.__init__: one flow per transferred chunk makes
+        # the constructor frame measurable in the recovery loops.
+        self.sim = sim
+        self._callbacks = None
+        self._value = None
+        self._exception = None
+        self.triggered = False
+        self._scheduled = False
         self.src = src
         self.dst = dst
         self.remaining = float(nbytes)
         self.total = nbytes
         self.rate = 0.0
-        self.done = done
         self.started_at = now
         self.last_update = now
         self.src_port = src_port
@@ -200,15 +232,6 @@ class Switch(InlineState):
     def nic(self, name: str) -> Nic:
         return self._nics[name]
 
-    def _port(self, nic: Nic, is_tx: bool) -> _Port:
-        # Ports are created lazily so transfers work for NICs that were
-        # never attach()ed (attach only registers traffic reporting).
-        ports = self._tx_ports if is_tx else self._rx_ports
-        port = ports.get(nic)
-        if port is None:
-            port = ports[nic] = _Port(nic, is_tx)
-        return port
-
     # ------------------------------------------------------------------
     # Transfers.
     # ------------------------------------------------------------------
@@ -222,33 +245,29 @@ class Switch(InlineState):
             raise ValueError("negative transfer size")
         sim = self.sim
         now = sim.now
-        # Flattened sim.event(): one flow per transferred chunk makes the
-        # constructor frames measurable in the recovery loops.
-        done = Event.__new__(Event)
-        done.sim = sim
-        done._callbacks = None
-        done._value = None
-        done._exception = None
-        done.triggered = False
-        done._scheduled = False
         src.stats.flows_started += 1
         if nbytes == 0:
-            latency_done = sim.sleep(self.BASE_LATENCY)
+            # A zero-byte send has moved all its bytes the moment it
+            # starts: it is finished at once (as a nonzero flow is when
+            # it retires) and delivered after the base latency.
+            src.stats.flows_finished += 1
+            done = Event(sim)
 
             def _deliver_empty(_ev: Event) -> None:
-                # A zero-byte flow still completes: close the
-                # started/finished accounting pair (it banks no bytes).
-                src.stats.flows_finished += 1
-                done.succeed(self.sim.now - now)
+                done.succeed(sim.now - now)
 
-            latency_done.add_callback(_deliver_empty)
+            sim.sleep(self.BASE_LATENCY).add_callback(_deliver_empty)
             return done
-        src_port = self._port(src, is_tx=True)
-        dst_port = self._port(dst, is_tx=False)
+        # Ports are created lazily so transfers work for NICs that were
+        # never attach()ed (attach only registers traffic reporting).
+        src_port = self._tx_ports.get(src)
+        if src_port is None:
+            src_port = self._tx_ports[src] = _Port(src, True)
+        dst_port = self._rx_ports.get(dst)
+        if dst_port is None:
+            dst_port = self._rx_ports[dst] = _Port(dst, False)
         self._flow_seq += 1
-        flow = _Flow(
-            src, dst, nbytes, done, now, src_port, dst_port, self._flow_seq
-        )
+        flow = _Flow(sim, src, dst, nbytes, now, src_port, dst_port, self._flow_seq)
         self._flows[flow] = None
         src_port.flows[flow] = None
         dst_port.flows[flow] = None
@@ -272,7 +291,7 @@ class Switch(InlineState):
                 self.sim.add_flush_hook(self._flush_pending)
         else:
             self._update([src_port, dst_port])
-        return done
+        return flow
 
     def _flush_pending(self) -> None:
         """Solve the arrivals accumulated at the current instant."""
@@ -327,31 +346,72 @@ class Switch(InlineState):
 
         The three phases are deliberately separate (finish detection
         returns the finished flows instead of removing them mid-scan):
-        reallocation never sees half-removed flows.
+        reallocation never sees half-removed flows.  Completions are
+        delivered only after the allocator ran on clean state.
         """
         now = self.sim.now
-        if self.solver == "reference":
-            candidates = list(self._flows)
+        hub = self._star_hub(dirty_ports) if self._incremental else None
+        if hub is not None:
+            finished = self._star_pass(hub, now)
         else:
-            candidates = self._component(dirty_ports)
+            if self._incremental:
+                candidates = self._component(dirty_ports)
+            else:
+                candidates = list(self._flows)
+            trace = self.sim.trace
+            if trace.enabled:
+                trace.instant("net", "resolve", now, flows=len(candidates))
+            # Phase 1: bank progress for every flow whose rate may change.
+            finished = self._bank(candidates, now)
+            # Phase 2: retire finished flows from every registry.
+            if finished:
+                self._retire(finished)
+                candidates = [flow for flow in candidates if not flow.finished]
+            # Phase 3: re-solve and re-rate the survivors.
+            self._solve(candidates, now)
+        if finished:
+            self._deliver(finished, now)
+        self._arm_timer(now)
+
+    def _star_pass(self, hub: _Port, now: float) -> List[_Flow]:
+        """:meth:`_update`'s three phases for a star component, fused.
+
+        The hub's registry is the component in arrival order.  Retiring
+        a flow empties its spoke, so the survivors still form a star and
+        progressive filling would freeze them all in its first round at
+        the hub's fair share -- provided every spoke offers strictly more
+        (the strict dominance :meth:`_solve`'s one-round path tests; a
+        lone survivor's share is already ``min(tx, rx)``).  Rates and
+        deadlines are then set inline, with :meth:`_set_rate`'s
+        arithmetic and push order.  Returns the finished flows.
+        """
+        flows = hub.flows
         trace = self.sim.trace
         if trace.enabled:
-            trace.instant("net", "resolve", now, flows=len(candidates))
-        # Phase 1: bank progress for every flow whose rate may change.
-        finished = self._bank(candidates, now)
-        # Phase 2: retire finished flows from every registry.
-        for flow in finished:
-            self._retire(flow)
+            trace.instant("net", "resolve", now, flows=len(flows))
+        finished = self._bank(flows, now)
         if finished:
-            candidates = [flow for flow in candidates if not flow.finished]
-        # Phase 3: re-solve and re-rate the survivors.
-        self._solve(candidates, now)
-        # Deliver completions only after the allocator ran on clean state.
-        if finished:
-            delivery = self.sim.sleep(self.BASE_LATENCY)
-            for flow in finished:
-                self._deliver(flow, delivery)
-        self._arm_timer(now)
+            self._retire(finished)
+        count = len(flows)
+        if not count:
+            return finished
+        share = max(hub.capacity, 0.0) / count
+        spoke_capacity = _DST_RX if hub.is_tx else _SRC_TX
+        if share > 0 and min(map(spoke_capacity, flows)) > share:
+            heap = self._completions
+            push_seq = self._push_seq
+            for flow in flows:
+                if flow.rate == share and flow.deadline != _INF:
+                    continue  # undisturbed: its heap entry stays valid
+                flow.rate = share
+                flow.deadline = deadline = now + flow.remaining / share
+                push_seq += 1
+                heapq.heappush(heap, (deadline, push_seq, flow))
+            self._push_seq = push_seq
+            return finished
+        # Some spoke bottlenecks first: progressive filling decides.
+        self._solve(list(flows), now)
+        return finished
 
     def _component(self, dirty_ports: List[_Port]) -> List[_Flow]:
         """Flows in the connected component(s) of the dirty ports.
@@ -360,15 +420,7 @@ class Switch(InlineState):
         traversal order deterministic; the result is sorted by flow
         arrival order so the solve's tie-breaking matches the reference
         solver's global iteration.
-
-        Recovery traffic is overwhelmingly star-shaped (many sources
-        converging on one rebuilding node), so a hub-check shortcut
-        replaces the BFS + sort with one pass over the hub's registry,
-        which is already in arrival order.
         """
-        hub = self._star_hub(dirty_ports)
-        if hub is not None:
-            return list(hub.flows)
         seen_ports: Dict[_Port, None] = dict.fromkeys(dirty_ports)
         flows: Dict[_Flow, None] = {}
         stack = list(dirty_ports)
@@ -390,9 +442,10 @@ class Switch(InlineState):
         A *star* is a component whose every flow touches one shared hub
         port while each spoke port carries exactly one flow.  The hub's
         flow registry then IS the component, in arrival order (each flow
-        was appended to it at creation), so callers can skip the BFS and
-        the sort.  Returns None whenever the shape is anything else --
-        correctness never depends on this detecting a star.
+        was appended to it at creation), so :meth:`_star_pass` can skip
+        the BFS, the sort and the filling loop.  Returns None whenever
+        the shape is anything else -- correctness never depends on this
+        detecting a star.
         """
         hub: Optional[_Port] = None
         for port in dirty_ports:
@@ -413,13 +466,12 @@ class Switch(InlineState):
                 return None
         if hub is None:
             return None
-        for flow in hub.flows:
-            other = flow.dst_port if flow.src_port is hub else flow.src_port
-            if other is not hub and len(other.flows) != 1:
-                return None
+        spoke_flows = _DST_FLOWS if hub.is_tx else _SRC_FLOWS
+        if max(map(len, map(spoke_flows, hub.flows))) != 1:
+            return None
         return hub
 
-    def _bank(self, flows: List[_Flow], now: float) -> List[_Flow]:
+    def _bank(self, flows: Iterable[_Flow], now: float) -> List[_Flow]:
         """Credit ``flows`` with bytes moved at their current rate.
 
         Pure detection: returns the flows that crossed their completion
@@ -438,39 +490,50 @@ class Switch(InlineState):
                 finished.append(flow)
         return finished
 
-    def _retire(self, flow: _Flow) -> None:
-        """Drop a finished flow from the global and per-port registries."""
-        flow.finished = True
-        del self._flows[flow]
-        del flow.src_port.flows[flow]
-        del flow.dst_port.flows[flow]
-        self.flows_gauge.adjust(-1.0, self.sim.now)
+    def _retire(self, finished: List[_Flow]) -> None:
+        """Drop finished flows from the global and per-port registries.
 
-    def _deliver(self, flow: _Flow, delivery: Event) -> None:
-        """Account a finished flow and schedule its completion delivery.
-
-        ``delivery`` is one base-latency sleep shared by every flow that
-        finished in the same wave: callbacks fire in attach order, which
-        is the order per-flow sleeps would have dispatched in (their seqs
-        would have been consecutive), so completion delivery order is
-        unchanged.  The base latency keeps even an infinitely-fast link's
-        transfer time nonzero.
+        One gauge step for the wave: at one instant, k unit decrements
+        and one decrement by k leave the gauge bit-identical.
         """
-        flow.src.stats.bytes_sent += flow.total
-        flow.dst.stats.bytes_received += flow.total
-        flow.src.stats.flows_finished += 1
-        self.total_bytes += flow.total
-        trace = self.sim.trace
-        if trace.enabled:
-            trace.complete(
-                "net", "flow", flow.started_at, self.sim.now,
-                src=flow.src.name, dst=flow.dst.name, bytes=flow.total,
-            )
-            trace.count("net", "active_flows", self.sim.now, len(self._flows))
-        duration = self.sim.now - flow.started_at + self.BASE_LATENCY
-        delivery.add_callback(
-            lambda _ev, done=flow.done, value=duration: done.succeed(value)
-        )
+        flows = self._flows
+        for flow in finished:
+            flow.finished = True
+            del flows[flow]
+            del flow.src_port.flows[flow]
+            del flow.dst_port.flows[flow]
+        self.flows_gauge.adjust(-float(len(finished)), self.sim.now)
+
+    def _deliver(self, finished: List[_Flow], now: float) -> None:
+        """Account a wave of finished flows and schedule their delivery.
+
+        The wave shares one base-latency sleep with one callback that
+        triggers the flows in retire order -- the order per-flow sleeps
+        would have dispatched in (their seqs would have been consecutive).
+        The base latency keeps even an infinitely-fast link's transfer
+        time nonzero.
+        """
+        sim = self.sim
+        latency = self.BASE_LATENCY
+        delivery = sim.sleep(latency)
+        trace = sim.trace
+        for flow in finished:
+            flow.src.stats.bytes_sent += flow.total
+            flow.dst.stats.bytes_received += flow.total
+            flow.src.stats.flows_finished += 1
+            self.total_bytes += flow.total
+            if trace.enabled:
+                trace.complete(
+                    "net", "flow", flow.started_at, now,
+                    src=flow.src.name, dst=flow.dst.name, bytes=flow.total,
+                )
+                trace.count("net", "active_flows", now, len(self._flows))
+
+        def _complete(_ev: Event) -> None:
+            for flow in finished:
+                flow.succeed(now - flow.started_at + latency)
+
+        delivery.add_callback(_complete)
 
     def _solve(self, flows: List[_Flow], now: float) -> None:
         """Progressive filling restricted to ``flows``; re-rate changes.
@@ -617,24 +680,28 @@ class Switch(InlineState):
                 flow.deadline = deadline
                 self._push_seq += 1
                 heapq.heappush(heap, (deadline, self._push_seq, flow))
-        for flow in finished:
-            self._retire(flow)
         if finished:
-            delivery = self.sim.sleep(self.BASE_LATENCY)
-            for flow in finished:
-                self._deliver(flow, delivery)
+            self._retire(finished)
+            self._deliver(finished, now)
+        if not self._incremental:
+            self._update([])
+            return
         # Departures free bandwidth: re-solve the components the finished
-        # flows' ports belong to (everything, in reference mode).
+        # flows' ports belong to.  A wave that emptied every port it
+        # touched leaves nothing to re-solve.
         dirty: Dict[_Port, None] = {}
         for flow in finished:
             dirty[flow.src_port] = None
             dirty[flow.dst_port] = None
-        if self.solver == "reference":
-            self._update([])
-        elif dirty:
+        if any(port.flows for port in dirty):
             self._update(list(dirty))
-        else:
-            self._arm_timer(now)
+            return
+        trace = self.sim.trace
+        if finished and trace.enabled:
+            # The instant an empty re-solve would emit: the trace stays
+            # the same whichever way the wave is handled.
+            trace.instant("net", "resolve", now, flows=0)
+        self._arm_timer(now)
 
     # ------------------------------------------------------------------
     # Introspection.

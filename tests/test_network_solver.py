@@ -13,6 +13,7 @@ import random
 import pytest
 
 from repro import units
+from repro.obs.tracer import capture
 from repro.sim.engine import Simulator
 from repro.sim.network import Nic, Switch
 
@@ -190,13 +191,19 @@ def test_disjoint_components_solved_independently():
 
 
 def test_zero_byte_transfer_closes_accounting():
-    """Zero-byte flows finish: started/finished pair up, no bytes banked."""
+    """Zero-byte flows finish: started/finished pair up, no bytes banked.
+
+    The send has moved its bytes at once, so the audit balances inside
+    its base-latency window as well as after delivery.
+    """
     sim, switch, (a, b) = _build("incremental", [units.gbps(10)] * 2)
-
-    def body():
-        yield switch.transfer(a, b, 0)
-
-    sim.run_process(body())
+    done = switch.transfer(a, b, 0)
+    sim.run(until=Switch.BASE_LATENCY / 2)
+    assert not done.triggered
+    assert switch.audit_flow_conservation() == []
+    sim.run()
+    assert done.value == pytest.approx(Switch.BASE_LATENCY)
+    assert switch.audit_flow_conservation() == []
     assert a.stats.flows_started == 1
     assert a.stats.flows_finished == 1
     assert a.stats.bytes_sent == 0
@@ -244,3 +251,155 @@ def test_idle_rate_change_is_a_no_op():
     sim.run()
     assert switch.active_flows == 0
     assert a.stats.flows_finished == 1
+
+
+# ----------------------------------------------------------------------
+# Star fast path vs the generic bank/solve path, bit for bit.
+# ----------------------------------------------------------------------
+def _star_script(rng, fan_in, num_spokes, num_ops):
+    """A star-shaped history around NIC 0: (time, op, args) in time order.
+
+    Spokes are drawn at random, so a spoke now and then carries two flows
+    (the component is then no star); about a third of the ops land on the
+    previous op's instant, exercising the batched same-instant solve.
+    """
+    script = []
+    now = 0.0
+    for _ in range(num_ops):
+        if rng.random() > 0.35:
+            now += rng.uniform(0.0, 0.05)
+        if rng.random() < 0.85:
+            spoke = rng.randrange(1, num_spokes + 1)
+            src, dst = (spoke, 0) if fan_in else (0, spoke)
+            script.append((now, "transfer", (src, dst, rng.randrange(1, 64 * units.MiB))))
+        else:
+            nic = rng.randrange(num_spokes + 1)
+            script.append((now, "rates", (nic, rng.choice([0.1, 0.5, 2.0, 1.0]))))
+    return script
+
+
+def _replay_exact(rates, script, traced=False):
+    """Replay ``script``; record raw solver state after every solve.
+
+    Every solve ends by re-arming the completion timer, so wrapping
+    ``_arm_timer`` sees each post-solve state: every active flow's rate,
+    banked remaining, bank time and deadline, plus the live heap.
+    Completions are recorded in the order their callbacks fire.  With
+    ``traced``, the run records a trace and also returns its events.
+    """
+    if traced:
+        with capture() as tracer:
+            result = _replay_exact(rates, script)
+        events = [(e.phase, e.category, e.name, e.ts, e.dur, e.attrs) for e in tracer.events]
+        return result, events
+    sim, switch, nics = _build("incremental", rates)
+    base = [(nic.tx_rate, nic.rx_rate) for nic in nics]
+    states = []
+    completions = []
+    star_passes = []
+    arm_timer = switch._arm_timer
+    star_pass = switch._star_pass
+
+    def recording_arm_timer(now):
+        states.append((
+            now,
+            [
+                (f.seq, f.rate, f.remaining, f.last_update, f.deadline)
+                for f in switch._flows
+            ],
+            sorted((d, s, f.seq) for d, s, f in switch._completions),
+        ))
+        arm_timer(now)
+
+    def counting_star_pass(hub, now):
+        star_passes.append(now)
+        return star_pass(hub, now)
+
+    switch._arm_timer = recording_arm_timer
+    switch._star_pass = counting_star_pass
+
+    def play():
+        for index, (at, op, args) in enumerate(script):
+            if at > sim.now:
+                yield sim.timeout(at - sim.now)
+            if op == "transfer":
+                src, dst, nbytes = args
+                done = switch.transfer(nics[src], nics[dst], nbytes)
+                done.add_callback(
+                    lambda ev, index=index: completions.append((index, sim.now, ev.value))
+                )
+            else:
+                nic, factor = args
+                switch.set_nic_rates(
+                    nics[nic], tx_rate=base[nic][0] * factor, rx_rate=base[nic][1] * factor
+                )
+
+    sim.process(play())
+    sim.run()
+    assert switch.active_flows == 0
+    stats = [
+        (n.stats.bytes_sent, n.stats.bytes_received, n.stats.flows_started, n.stats.flows_finished)
+        for n in nics
+    ]
+    return states, completions, stats, sim.now, len(star_passes)
+
+
+def _assert_star_matches_generic(monkeypatch, rates, script):
+    """Star path vs the generic path (the oracle: star detection patched
+    out), untraced and traced; returns the star-pass count."""
+    star = _replay_exact(rates, script)
+    star_traced, star_events = _replay_exact(rates, script, traced=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(Switch, "_star_hub", staticmethod(lambda dirty_ports: None))
+        generic = _replay_exact(rates, script)
+        generic_traced, generic_events = _replay_exact(rates, script, traced=True)
+    assert generic[4] == generic_traced[4] == 0  # the oracle never took the star pass
+    # Exact: states, completions, stats and end time.
+    assert star[:4] == generic[:4] == star_traced[:4] == generic_traced[:4]
+    assert star_events == generic_events
+    assert star_traced[4] == star[4]  # the star pass runs with tracing on or off
+    return star[4]
+
+
+@pytest.mark.parametrize("fan_in", [True, False], ids=["many-to-one", "one-to-many"])
+@pytest.mark.parametrize("seed", range(6))
+def test_star_pass_matches_generic_path_exactly(monkeypatch, fan_in, seed):
+    rng = random.Random(1000 * seed + fan_in)
+    num_spokes = rng.randrange(6, 18)
+    rates = [units.gbps(10)] + [
+        rng.choice([units.gbps(10), units.gbps(1)]) for _ in range(num_spokes)
+    ]
+    script = _star_script(rng, fan_in, num_spokes, num_ops=60)
+    assert _assert_star_matches_generic(monkeypatch, rates, script) > 0
+
+
+def test_star_pass_spoke_dominance_fallback(monkeypatch):
+    """1G spokes into a 10G hub: the spokes, not the hub, bottleneck first
+    until enough flows share the hub, so both branches of the pass run."""
+    rates = [units.gbps(10)] + [units.gbps(1)] * 6 + [units.gbps(10)] * 6
+    script = [
+        (0.001 * i, "transfer", (1 + i, 0, (1 + i) * 8 * units.MiB)) for i in range(12)
+    ]
+    script += [(0.004, "rates", (0, 0.5)), (0.02, "rates", (3, 2.0))]
+    script.sort(key=lambda op: op[0])
+    assert _assert_star_matches_generic(monkeypatch, rates, script) > 0
+
+
+def test_star_pass_same_instant_wave_and_double_spoke(monkeypatch):
+    """A same-instant wave into one port, then a spoke sending twice."""
+    rates = [units.gbps(10)] * 9
+    script = [(0.0, "transfer", (1 + i, 0, 4 * units.MiB)) for i in range(8)]
+    script += [(0.001, "transfer", (1, 0, 4 * units.MiB))]  # spoke 1 twice
+    script += [(0.002, "transfer", (2 + i, 0, 4 * units.MiB)) for i in range(3)]
+    assert _assert_star_matches_generic(monkeypatch, rates, script) > 0
+
+
+def test_completion_wave_fires_in_retire_order(monkeypatch):
+    """Equal flows started together finish in one wave: their completion
+    callbacks fire at one instant, in arrival (= retire) order."""
+    rates = [units.gbps(10)] * 9
+    script = [(0.0, "transfer", (1 + i, 0, 4 * units.MiB)) for i in range(8)]
+    _states, completions, _stats, _end, _passes = _replay_exact(rates, script)
+    assert [index for index, _at, _value in completions] == list(range(8))
+    assert len({at for _index, at, _value in completions}) == 1
+    _assert_star_matches_generic(monkeypatch, rates, script)
